@@ -1,8 +1,9 @@
 """LSTM cell and layer.
 
-The ERAS controller (Section IV-B of the paper) samples architecture decisions
-autoregressively with an LSTM; REINFORCE gradients therefore have to flow through the
-recurrent computation, which this implementation supports out of the box.
+The ERAS controller (Section IV-B of the paper) holds its policy parameters in an
+:class:`LSTMCell`.  It samples and computes its REINFORCE gradients in raw NumPy
+(closed-form back-propagation through time, see ``repro.search.controller``); the
+autodiff forward here is the reference those computations are tested against.
 """
 
 from __future__ import annotations

@@ -61,6 +61,7 @@ from repro.search.registry import available_searchers
 from repro.utils.logging import get_logger
 from repro.utils.serialization import PathLike, load_json, save_json, to_jsonable
 
+from repro.runtime.blas import cap_worker_blas_threads
 from repro.runtime.runner import RunConfig, SearchRunner
 
 logger = get_logger("runtime.orchestrator")
@@ -623,8 +624,11 @@ def _pool_worker(worker_id, tasks, events, config_payload, sweep_dir, graph_hand
     :class:`~repro.runtime.shm.SharedGraphPayload`; each resolves (once per worker,
     memoised per digest) to a zero-copy view of the parent's published graph, so the
     worker never regenerates a dataset regardless of how many shards it executes.
+    BLAS is capped to this worker's share of the cores, so ``max_workers`` workers
+    do not oversubscribe the host.
     """
     config = sweep_config_from_jsonable(config_payload)
+    cap_worker_blas_threads(config.max_workers)
     graph_handles = graph_handles or {}
     while True:
         task = tasks.get()

@@ -41,6 +41,7 @@ import traceback
 from collections import OrderedDict
 from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
 
+from repro.runtime.blas import cap_worker_blas_threads
 from repro.utils.logging import get_logger
 
 logger = get_logger("runtime.pool")
@@ -62,13 +63,16 @@ class WarmPoolError(RuntimeError):
     """A worker raised, or the pool lost workers beyond recovery."""
 
 
-def _worker_main(worker_id: int, task_queue, result_queue) -> None:
+def _worker_main(worker_id: int, n_workers: int, task_queue, result_queue) -> None:
     """Worker loop: install payloads, execute chunks, report results.
 
     Payloads arrive once per key and are memoised (LRU-bounded); chunk messages then
     carry only the key plus the per-task payloads.  Exceptions are caught and
-    reported per chunk, so one bad candidate cannot take the worker down.
+    reported per chunk, so one bad candidate cannot take the worker down.  BLAS is
+    first capped to this worker's share of the cores, so ``n_workers`` workers do not
+    oversubscribe the host.
     """
+    cap_worker_blas_threads(n_workers)
     installed: "OrderedDict[str, Tuple[Callable, object]]" = OrderedDict()
     while True:
         message = task_queue.get()
@@ -154,7 +158,7 @@ class WarmPool:
         task_queue = self._context.Queue()
         process = self._context.Process(
             target=_worker_main,
-            args=(worker_id, task_queue, self._result_queue),
+            args=(worker_id, self.n_workers, task_queue, self._result_queue),
             name=f"repro-warm-{worker_id}",
             daemon=True,
         )

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.autodiff import functional as F
 from repro.search import (
     ArchitectureController,
     Candidate,
@@ -18,7 +19,7 @@ from repro.search import (
     TracePoint,
 )
 from repro.scoring import BlockStructure, named_structure
-from repro.search.controller import ReinforceUpdater
+from repro.search.controller import ReinforceUpdater, SampledCandidate
 from repro.search.predictor import candidate_features, structure_features
 
 
@@ -145,6 +146,56 @@ class TestSupernet:
         np.testing.assert_allclose(supernet.relation_embeddings(), before)
 
 
+def _oracle_step(controller, previous, state):
+    """One policy step through the controller's Tensor modules, the reference policy."""
+    state = controller.cell(controller.token_embedding(np.asarray(previous)), state)
+    return state, F.log_softmax(controller.output(state[0]), axis=-1)
+
+
+def _oracle_sample(controller, count, rng):
+    """Reference sampler: one sample after another, one ``rng.choice`` per token."""
+    samples = []
+    for _ in range(count):
+        state = controller.cell.initial_state(1)
+        previous, tokens, log_prob = controller.space.num_operations, [], 0.0
+        for _ in range(controller.space.token_count):
+            state, log_probs = _oracle_step(controller, [previous], state)
+            probabilities = np.exp(log_probs.data[0])
+            previous = int(rng.choice(len(probabilities), p=probabilities / probabilities.sum()))
+            tokens.append(previous)
+            log_prob += log_probs.data[0, previous]
+        samples.append((np.array(tokens), log_prob))
+    return samples
+
+
+def _oracle_unroll(controller, tokens):
+    """Teacher-forced Tensor unroll over token rows; the per-step log-softmax tensors."""
+    rows = np.arange(len(tokens))
+    state = controller.cell.initial_state(len(tokens))
+    previous = np.full(len(tokens), controller.space.num_operations)
+    steps = []
+    for step in range(tokens.shape[1]):
+        state, log_probs = _oracle_step(controller, previous, state)
+        steps.append((log_probs, log_probs[rows, tokens[:, step]]))
+        previous = tokens[:, step]
+    return steps
+
+
+def _oracle_log_probs(controller, tokens):
+    return sum(picked.data for _, picked in _oracle_unroll(controller, tokens))
+
+
+def _mean_step_entropy(controller, tokens):
+    steps = _oracle_unroll(controller, tokens)
+    return float(np.mean([-(np.exp(log_probs.data) * log_probs.data).sum(axis=-1) for log_probs, _ in steps]))
+
+
+def _samples_from_tokens(space, tokens):
+    return [
+        SampledCandidate(Candidate(tuple(space.structures_from_tokens(row))), row, 0.0, 0.0) for row in tokens
+    ]
+
+
 class TestController:
     def test_sample_shapes_and_validity(self, tiny_graph):
         space = RelationAwareSearchSpace(num_blocks=4, num_groups=2)
@@ -154,7 +205,8 @@ class TestController:
         for sample in samples:
             assert sample.tokens.shape == (space.token_count,)
             assert sample.candidate.num_groups == 2
-            assert sample.log_prob.requires_grad
+            assert np.isfinite(sample.log_prob) and sample.log_prob <= 0.0
+            assert sample.log_prob == pytest.approx(_oracle_log_probs(controller, sample.tokens[None])[0], abs=1e-12)
             assert sample.entropy > 0
 
     def test_zero_bias_makes_sparse_candidates(self):
@@ -191,6 +243,64 @@ class TestController:
         frequencies = np.mean([controller.sample_one(rng=rng).tokens[0] == 0 for _ in range(30)])
         assert frequencies > 0.5
         assert updater.baseline is not None
+
+    @pytest.mark.parametrize("num_blocks,num_groups,hidden_size", [(4, 3, 64), (2, 1, 8), (3, 2, 16)])
+    def test_sampler_matches_tensor_oracle(self, num_blocks, num_groups, hidden_size):
+        space = RelationAwareSearchSpace(num_blocks=num_blocks, num_groups=num_groups)
+        controller = ArchitectureController(space, ControllerConfig(hidden_size=hidden_size, seed=3))
+        rng, reference_rng = np.random.default_rng(11), np.random.default_rng(11)
+        for count in (1, 3):
+            samples = controller.sample(count, rng=rng)
+            reference = _oracle_sample(controller, count, reference_rng)
+            for sample, (tokens, log_prob) in zip(samples, reference):
+                np.testing.assert_array_equal(sample.tokens, tokens)
+                assert sample.log_prob == pytest.approx(log_prob, abs=1e-12)
+            assert rng.bit_generator.state == reference_rng.bit_generator.state
+        before = rng.bit_generator.state
+        greedy = controller.sample(2, rng=rng, greedy=True)
+        assert rng.bit_generator.state == before
+        np.testing.assert_array_equal(greedy[0].tokens, greedy[1].tokens)
+
+    @pytest.mark.parametrize("entropy_weight", [0.0, 0.3])
+    @pytest.mark.parametrize("count", [1, 2, 5])
+    def test_reinforce_gradient_matches_autodiff(self, count, entropy_weight):
+        space = RelationAwareSearchSpace(num_blocks=3, num_groups=2)
+        controller = ArchitectureController(
+            space, ControllerConfig(hidden_size=16, token_embedding_dim=8, entropy_weight=entropy_weight, seed=count)
+        )
+        updater = ReinforceUpdater(controller)
+        updater.optimizer.step = lambda: None  # keep the parameters; only the gradients are compared
+        rng = np.random.default_rng(count)
+        tokens = rng.integers(0, space.num_operations, size=(count, space.token_count))
+        rewards = rng.random(count)
+        updater.baseline = float(rng.random())
+        decay = controller.config.baseline_decay
+        baseline = decay * updater.baseline + (1.0 - decay) * float(np.mean(rewards))
+        updater.update(_samples_from_tokens(space, tokens), list(rewards))
+        closed_form = {name: parameter.grad.copy() for name, parameter in controller.named_parameters()}
+
+        # Autodiff of the same loss over the teacher-forced Tensor unroll.
+        controller.zero_grad()
+        weights = -(rewards - baseline) / count
+        loss = None
+        for log_probs, picked in _oracle_unroll(controller, tokens):
+            entropy = -(log_probs.exp() * log_probs).sum()
+            term = (picked * weights).sum() - entropy * (entropy_weight / count)
+            loss = term if loss is None else loss + term
+        loss.backward()
+        for name, parameter in controller.named_parameters():
+            np.testing.assert_allclose(closed_form[name], parameter.grad, rtol=0, atol=1e-10, err_msg=name)
+
+    def test_entropy_bonus_raises_policy_entropy(self):
+        space = RelationAwareSearchSpace(num_blocks=3, num_groups=1)
+        controller = ArchitectureController(space, ControllerConfig(entropy_weight=0.5, seed=0))
+        updater = ReinforceUpdater(controller)
+        samples = controller.sample(4, rng=np.random.default_rng(0))
+        tokens = np.stack([sample.tokens for sample in samples])
+        before = _mean_step_entropy(controller, tokens)
+        # Equal rewards: the advantage is zero, so only the entropy bonus moves the policy.
+        updater.update(samples, [0.5] * len(samples))
+        assert _mean_step_entropy(controller, tokens) > before
 
     def test_reinforce_update_validation(self):
         space = RelationAwareSearchSpace(num_blocks=2, num_groups=1)

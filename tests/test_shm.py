@@ -16,7 +16,7 @@ import sys
 import numpy as np
 import pytest
 
-from repro.runtime import shm
+from repro.runtime import blas, shm
 from repro.runtime.pool import INSTALL_LRU, WarmPool, WarmPoolError, get_warm_pool
 
 pytestmark = pytest.mark.shm
@@ -310,6 +310,36 @@ class TestWarmPool:
 
 def _echo_payload(shared, payload):
     return payload
+
+
+def _worker_blas_threads(shared, payload):
+    return blas.blas_threads()
+
+
+class TestBlasThreadCap:
+    def test_set_and_get_round_trip(self):
+        original = blas.blas_threads()
+        if original is None:  # no OpenBLAS loaded: the cap must be a reported no-op
+            assert not blas.set_blas_threads(1)
+            return
+        try:
+            assert blas.set_blas_threads(1)
+            assert blas.blas_threads() == 1
+        finally:
+            blas.set_blas_threads(original)
+        assert blas.blas_threads() == original
+
+    def test_warm_pool_workers_share_the_cores(self):
+        """Two workers each get half the cores, so together they never oversubscribe."""
+        pool = WarmPool(2)
+        try:
+            threads = pool.run("blas-cap-test", _worker_blas_threads, None, list(range(8)))
+        finally:
+            pool.close()
+        if blas.blas_threads() is None:
+            assert threads == [None] * 8
+        else:
+            assert set(threads) == {max(1, blas.available_cores() // 2)}
 
 
 # ---------------------------------------------------------------------------- graph payloads

@@ -1,7 +1,7 @@
 """HTTP serving workload: end-to-end latency, throughput and overload shedding.
 
 Drives the full network stack -- real sockets, HTTP parsing, admission queue,
-micro-batching, scoring -- with concurrent keep-alive clients against a
+continuous batching, scoring -- with concurrent keep-alive clients against a
 :class:`~repro.serve.http.BackgroundHttpServer`, in two phases:
 
 - **steady**: a closed-loop fleet of clients issues seeded link-prediction requests
@@ -114,7 +114,7 @@ def _run_workload():
     # -------------------------------------------------------------- steady phase
     frontend = ServingFrontend(
         engine, model_name="bench", version=1,
-        config=FrontendConfig(max_queue_depth=256, max_batch_size=32, flush_interval_s=0.002),
+        config=FrontendConfig(max_queue_depth=256, max_batch_size=32),
     )
     with BackgroundHttpServer(frontend) as server:
         streams = [

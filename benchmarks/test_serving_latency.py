@@ -6,8 +6,11 @@ through the artifact registry, and measures the inference engine's throughput th
 
 - one query per :meth:`~repro.serve.engine.LinkPredictionEngine.predict` call (the naive
   serving loop),
-- micro-batched through :class:`~repro.serve.service.PredictionService`,
+- micro-batched: ``MICRO_BATCH`` queries per ``predict`` call,
 - micro-batched with the hottest relation precomputed.
+
+Each call is timed into a :class:`~repro.serve.service.ServiceStats`, the same
+accounting the HTTP front-end reports under ``/metrics``.
 
 The batched path must keep a solid throughput lead -- the vectorised all-entity matrix
 op amortises the per-call Python overhead -- and the registry round-trip must preserve
@@ -29,8 +32,7 @@ from repro.serve import (
     LinkPredictionEngine,
     LinkQuery,
     ModelArtifactRegistry,
-    PredictionService,
-    ServiceConfig,
+    ServiceStats,
 )
 from repro.utils.rng import new_rng
 
@@ -73,6 +75,14 @@ def _query_stream(graph, rng) -> list:
     return queries
 
 
+def _timed_batches(engine, queries, batch_size: int) -> ServiceStats:
+    """Answer ``queries`` with one ``engine.predict`` call per ``batch_size`` of them."""
+    stats = ServiceStats()
+    for start in range(0, len(queries), batch_size):
+        stats.timed_predict(engine, queries[start : start + batch_size])
+    return stats
+
+
 def _run_workload(tmp_path_factory):
     graph, served, direct = _serving_model(tmp_path_factory)
     rng = new_rng(BENCH_SEED)
@@ -87,16 +97,13 @@ def _run_workload(tmp_path_factory):
     served.stats.lru_hits = served.stats.scored = served.stats.queries = served.stats.batches = 0
 
     # Naive loop: one engine call (one all-entity op) per query.
-    loop_service = PredictionService(served, ServiceConfig(max_batch_size=1, default_k=TOP_K))
-    for query in queries:
-        loop_service.query(relation=query.relation, head=query.head, tail=query.tail, k=query.k)
-    loop_qps = loop_service.stats.throughput_qps
+    loop_stats = _timed_batches(served, queries, 1)
+    loop_qps = loop_stats.throughput_qps
 
-    # Micro-batched: the same stream through a batching service on a fresh engine state.
+    # Micro-batched: the same stream in MICRO_BATCH-query calls on a fresh engine state.
     served.clear_caches()
-    batch_service = PredictionService(served, ServiceConfig(max_batch_size=MICRO_BATCH, default_k=TOP_K))
-    batch_service.query_many(queries)
-    batch_qps = batch_service.stats.throughput_qps
+    batch_stats = _timed_batches(served, queries, MICRO_BATCH)
+    batch_qps = batch_stats.throughput_qps
 
     # Micro-batched with the hottest relations precomputed (LRU off isolates the effect).
     served.clear_caches()
@@ -104,14 +111,13 @@ def _run_workload(tmp_path_factory):
     for relation in np.argsort(-hot_relations)[:2]:
         served.precompute_relation(int(relation), direction="tail")
         served.precompute_relation(int(relation), direction="head")
-    hot_service = PredictionService(served, ServiceConfig(max_batch_size=MICRO_BATCH, default_k=TOP_K))
-    hot_service.query_many(queries)
-    hot_qps = hot_service.stats.throughput_qps
+    hot_stats = _timed_batches(served, queries, MICRO_BATCH)
+    hot_qps = hot_stats.throughput_qps
 
     report = TableReport("Serving latency -- single vs micro-batched link prediction")
-    for label, service in (("single", loop_service), ("batched", batch_service), ("batched+hot", hot_service)):
+    for label, stats in (("single", loop_stats), ("batched", batch_stats), ("batched+hot", hot_stats)):
         row = dict(mode=label)
-        row.update(service.stats.as_row())
+        row.update(stats.as_row())
         report.add_row(**row)
     return report, loop_qps, batch_qps, hot_qps
 

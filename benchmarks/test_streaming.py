@@ -119,7 +119,7 @@ def _run_serving_phase():
     frontend = ServingFrontend(
         engine, model_name="bench", version=1,
         graph_view=MutableGraphView(graph),
-        config=FrontendConfig(max_queue_depth=256, max_batch_size=32, flush_interval_s=0.002),
+        config=FrontendConfig(max_queue_depth=256, max_batch_size=32),
     )
 
     lock = threading.Lock()

@@ -5,10 +5,9 @@ Run with::
     python examples/serve_queries.py
 
 The example trains a small model, stores it in a versioned artifact registry, reloads it
-into a :class:`~repro.serve.engine.LinkPredictionEngine`, and serves a stream of
-head/tail completion queries through the micro-batching
-:class:`~repro.serve.service.PredictionService`, printing the top completions and the
-latency/throughput statistics.
+into a :class:`~repro.serve.engine.LinkPredictionEngine`, and answers a stream of
+head/tail completion queries with one batched ``engine.predict`` call, printing the top
+completions, the latency/throughput statistics and the engine's cache counters.
 """
 
 import tempfile
@@ -22,8 +21,8 @@ from repro.serve import (
     LinkPredictionEngine,
     LinkQuery,
     ModelArtifactRegistry,
-    PredictionService,
-    ServiceConfig,
+    ServiceStats,
+    serving_tables,
 )
 
 
@@ -56,8 +55,8 @@ def main() -> None:
         engine = LinkPredictionEngine.from_artifact(registry, ref.name, graph=graph)
         engine.precompute_relation(0, direction="tail")  # warm one hot relation
 
-        # 4. Serve a query stream through the micro-batching facade.
-        service = PredictionService(engine, ServiceConfig(max_batch_size=64, default_k=5))
+        # 4. Answer a query stream; the engine scores it in batches of score_batch_size.
+        stats = ServiceStats()
         rng = np.random.default_rng(0)
         queries = [
             LinkQuery(
@@ -67,14 +66,14 @@ def main() -> None:
             )
             for _ in range(256)
         ]
-        responses = service.query_many(queries)
+        responses = stats.timed_predict(engine, queries)
 
         sample = responses[0]
         completions = ", ".join(f"{engine.label(e)} ({s:.2f})" for e, s in sample.pairs())
         print(f"\n(head={sample.query.head}, relation={sample.query.relation}, ?) -> {completions}")
 
-        service.stats_table().show()
-        service.cache_table().show()
+        for table in serving_tables(stats, engine):
+            table.show()
 
 
 if __name__ == "__main__":

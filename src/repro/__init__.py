@@ -19,8 +19,9 @@ The package is organised as a stack of subsystems:
   and figure of the paper.
 - :mod:`repro.stream` -- live-graph streaming: validated :class:`~repro.stream.GraphDelta`
   mutations producing versioned immutable snapshots with an incremental filter-index merge.
-- :mod:`repro.serve` -- the serving subsystem: a versioned model artifact registry and a
-  batched link-prediction inference engine with micro-batching and result caches.
+- :mod:`repro.serve` -- the serving subsystem: a versioned model artifact registry, a
+  batched link-prediction inference engine with result caches, and an HTTP front-end
+  that batches requests continuously into it.
 - :mod:`repro.runtime` -- the runtime layer on top of everything: the parallel
   :class:`~repro.runtime.evaluation.EvaluationPool` with its structure-keyed cache, JSON
   checkpoint/resume of searches, the :class:`~repro.runtime.runner.SearchRunner` pipeline

@@ -5,7 +5,8 @@ into it.  A pool of ``N`` fork workers therefore runs ``N × cores`` BLAS thread
 ``cores`` CPUs, and the busy-waiting threads starve each other: on a 2-core host the
 2-worker warm pool ran the derive phase slower than the serial loop.  Each worker
 calls :func:`cap_worker_blas_threads` right after it starts, so the workers together
-use at most one BLAS thread per core.
+use at most one BLAS thread per core, and a worker capped to one thread keeps no
+busy-waiting OpenBLAS helper thread.
 
 ``threadpoolctl`` is not a dependency, so the cap goes through ``ctypes`` to the
 OpenBLAS that is already loaded.  Where no OpenBLAS is found (another BLAS, or a
@@ -31,8 +32,18 @@ def available_cores() -> int:
     return max(1, os.cpu_count() or 1)
 
 
-def _openblas_function(name: str) -> Optional[Callable]:
-    """``name`` (e.g. ``set_num_threads``) from the OpenBLAS loaded in this process."""
+def _api_function(library: ctypes.CDLL, name: str) -> Optional[Callable]:
+    """``name`` (e.g. ``set_num_threads``) from ``library`` under any API prefix/suffix."""
+    for prefix in _PREFIXES:
+        for suffix in _SUFFIXES:
+            function = getattr(library, f"{prefix}{name}{suffix}", None)
+            if function is not None:
+                return function
+    return None
+
+
+def _openblas_library() -> Optional[ctypes.CDLL]:
+    """The first loaded OpenBLAS (by path) that exports the thread-count API."""
     try:
         with open("/proc/self/maps", encoding="utf-8") as handle:
             paths = {line.split()[-1] for line in handle if "openblas" in line.lower()}
@@ -43,12 +54,15 @@ def _openblas_function(name: str) -> Optional[Callable]:
             library = ctypes.CDLL(path)
         except OSError:
             continue
-        for prefix in _PREFIXES:
-            for suffix in _SUFFIXES:
-                function = getattr(library, f"{prefix}{name}{suffix}", None)
-                if function is not None:
-                    return function
+        if _api_function(library, "set_num_threads") is not None:
+            return library
     return None
+
+
+def _openblas_function(name: str) -> Optional[Callable]:
+    """``name`` (e.g. ``set_num_threads``) from the OpenBLAS loaded in this process."""
+    library = _openblas_library()
+    return None if library is None else _api_function(library, name)
 
 
 def blas_threads() -> Optional[int]:
@@ -72,5 +86,21 @@ def set_blas_threads(threads: int) -> bool:
 
 
 def cap_worker_blas_threads(n_workers: int) -> bool:
-    """In a pool worker: limit BLAS to this worker's share of the cores."""
-    return set_blas_threads(max(1, available_cores() // max(1, n_workers)))
+    """In a pool worker: limit BLAS to this worker's share of the cores.
+
+    Call it first thing in a freshly started worker, before any BLAS work and before
+    the worker starts threads of its own.  In a forked child, setting the thread
+    count starts OpenBLAS's helper threads, and an idle helper busy-waits for
+    OpenBLAS's thread timeout (about 0.1 s of a core) before it sleeps.  A worker
+    capped to one thread never hands work to a helper, so its helpers are shut down
+    again at once (``blas_thread_shutdown_``, the routine OpenBLAS's own fork handler
+    calls).  Left spinning, they made the first tasks of two fresh workers on a
+    2-core host run 1.5-1.8x slower than the same tasks run serially.
+    """
+    threads = max(1, available_cores() // max(1, n_workers))
+    if not set_blas_threads(threads):
+        return False
+    shutdown = getattr(_openblas_library(), "blas_thread_shutdown_", None)
+    if threads == 1 and shutdown is not None:
+        shutdown()
+    return True

@@ -306,7 +306,7 @@ def _add_serve_parser(subparsers) -> None:
         "serve",
         help="answer link-prediction queries against a registered model",
         description="Load a model from the artifact registry and answer head/tail "
-        "completion queries through the batched prediction service.",
+        "completion queries with the batched prediction engine.",
     )
     parser.add_argument("--registry", metavar="PATH", required=True, help="model artifact registry root")
     parser.add_argument("--model", metavar="NAME", required=True, help="artifact name in the registry")
@@ -356,11 +356,6 @@ def _add_serve_parser(subparsers) -> None:
         "and never occupy a batch slot (default: 5000)",
     )
     parser.add_argument(
-        "--flush-interval-ms", type=float, default=5.0,
-        help="how long the batch loop waits for stragglers before scoring a partial "
-        "micro-batch (default: 5)",
-    )
-    parser.add_argument(
         "--reload-poll-s", type=float, default=2.0,
         help="seconds between registry polls for a newer model version (default: 2)",
     )
@@ -376,7 +371,7 @@ def _add_bench_parser(subparsers) -> None:
         "bench",
         help="run a runtime timing workload",
         description="Benchmark the runtime layer: 'derive' times serial vs parallel vs "
-        "cached derive-phase scoring, 'serving' measures the prediction service's "
+        "cached derive-phase scoring, 'serving' times the engine's batched "
         "latency and throughput, 'ranking' times vectorized filtered ranking against "
         "the retained naive reference, 'search' times one budgeted step of every "
         "registered searcher and writes BENCH_search.json, 'sweep' times serial vs "
@@ -654,7 +649,7 @@ def cmd_serve(args: argparse.Namespace) -> int:
     from repro.datasets import resolve_dataset
     from repro.serve.artifacts import ModelArtifactRegistry
     from repro.serve.engine import LinkPredictionEngine, LinkQuery
-    from repro.serve.service import PredictionService
+    from repro.serve.service import ServiceStats, serving_tables
     from repro.utils.rng import new_rng
 
     if args.http and (args.query or args.demo):
@@ -679,21 +674,21 @@ def cmd_serve(args: argparse.Namespace) -> int:
         mmap=args.mmap,
         entity_chunk_size=args.entity_chunk,
     )
-    service = PredictionService(engine)
+    stats = ServiceStats()
 
     queries: List[LinkQuery] = [_parse_query(text, engine, args.top_k) for text in args.query]
     queries += _random_queries(
         new_rng(args.seed), args.demo, engine.model.num_relations, engine.model.num_entities, args.top_k
     )
 
-    for query, result in zip(queries, service.query_many(queries)):
+    for query, result in zip(queries, stats.timed_predict(engine, queries)):
         anchor = engine.label(query.anchor)
         print(f"\n({anchor}, r{query.relation}, ?)" if query.direction == "tail" else f"\n(?, r{query.relation}, {anchor})")
         for entity, score in result.pairs():
             print(f"  {engine.label(entity):<24} {score:+.4f}")
     print()
-    print(service.stats_table().render())
-    print(service.cache_table().render())
+    for table in serving_tables(stats, engine):
+        print(table.render())
     return 0
 
 
@@ -708,7 +703,6 @@ def _serve_http(args: argparse.Namespace, registry, graph) -> int:
         max_queue_depth=args.max_queue_depth,
         default_deadline_s=args.deadline_ms / 1000.0,
         max_deadline_s=max(args.deadline_ms / 1000.0, 30.0),
-        flush_interval_s=args.flush_interval_ms / 1000.0,
     )
     frontend = ServingFrontend.from_registry(
         registry,
@@ -790,8 +784,8 @@ def cmd_bench(args: argparse.Namespace) -> int:
         time_sweep,
     )
     from repro.scoring.classics import named_structure
-    from repro.serve.engine import LinkPredictionEngine, LinkQuery
-    from repro.serve.service import PredictionService
+    from repro.serve.engine import LinkPredictionEngine
+    from repro.serve.service import ServiceStats, serving_tables
     from repro.utils.rng import new_rng
     from repro.utils.serialization import save_json
 
@@ -908,14 +902,14 @@ def cmd_bench(args: argparse.Namespace) -> int:
     else:
         model, _ = train_structure(graph, named_structure("distmult"), dim=min(args.dim, 32), epochs=8, seed=args.seed)
         engine = LinkPredictionEngine.from_graph(model, graph)
-        service = PredictionService(engine)
+        stats = ServiceStats()
         queries = _random_queries(
             new_rng(args.seed), args.queries, graph.num_relations, graph.num_entities, args.top_k
         )
-        service.query_many(queries)
-        print(service.stats_table().render())
-        print(service.cache_table().render())
-        row = service.stats.as_row()
+        stats.timed_predict(engine, queries)
+        for table in serving_tables(stats, engine):
+            print(table.render())
+        row = stats.as_row()
     # Every workload contributes to the perf trajectory in --out, so regenerating a
     # baseline is the same one-liner regardless of workload.
     path = write_bench_json(args.workload, row, directory=args.out)

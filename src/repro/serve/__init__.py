@@ -9,13 +9,12 @@ package turns that artifact into a queryable service:
 - :mod:`repro.serve.engine` -- :class:`LinkPredictionEngine`, batched head/tail
   completion with fully vectorised all-entity scoring, filtered top-k against known
   triples, an LRU result cache and optional precomputed per-relation score caches.
-- :mod:`repro.serve.service` -- :class:`PredictionService`, a request/response facade
-  with micro-batching and latency/throughput statistics reported through
-  :mod:`repro.bench.reporting`.
-- :mod:`repro.serve.frontend` -- :class:`ServingFrontend`, the robustness layer:
-  bounded admission queue with load shedding, per-request deadlines, time-based
-  micro-batch flushing, graceful drain, and validated hot-reload with rollback via
-  :class:`EngineReloader`.
+- :mod:`repro.serve.service` -- :class:`ServiceStats`, latency/throughput accounting of
+  scoring batches, reported through :mod:`repro.bench.reporting`.
+- :mod:`repro.serve.frontend` -- :class:`ServingFrontend`, the robustness layer and the
+  only request batcher: bounded admission queue with load shedding, per-request
+  deadlines, continuous batching straight into ``engine.predict``, graceful drain, and
+  validated hot-reload with rollback via :class:`EngineReloader`.
 - :mod:`repro.serve.http` -- :class:`HttpFrontendServer`, a stdlib-only asyncio
   HTTP/1.1 transport (``/v1/predict``, ``/healthz``, ``/readyz``, ``/metrics``,
   ``/v1/reload``, ``/v1/graph/delta``) behind ``python -m repro serve --http``.
@@ -45,11 +44,7 @@ from repro.serve.frontend import (
     ServingFrontend,
 )
 from repro.serve.http import BackgroundHttpServer, HttpFrontendServer
-from repro.serve.service import (
-    PredictionService,
-    ServiceConfig,
-    ServiceStats,
-)
+from repro.serve.service import ServiceStats, serving_tables
 
 __all__ = [
     "ArtifactError",
@@ -60,9 +55,8 @@ __all__ = [
     "LinkPredictionEngine",
     "LinkQuery",
     "TopKResult",
-    "PredictionService",
-    "ServiceConfig",
     "ServiceStats",
+    "serving_tables",
     "ServingFrontend",
     "FrontendConfig",
     "FrontendError",

@@ -25,6 +25,7 @@ Results are stamped with the serving ``graph_version`` so staleness is observabl
 from __future__ import annotations
 
 import dataclasses
+import threading
 from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple, Union
@@ -185,6 +186,9 @@ class LinkPredictionEngine:
         self.graph_version = int(graph_version)
         self.stats = EngineStats(graph_version=self.graph_version)
         self._lru: "OrderedDict[Tuple[str, int, int, int], TopKResult]" = OrderedDict()
+        # The scoring thread reorders the LRU on every hit and put, while a delta copies
+        # it from another thread; every mutation and iteration of ``_lru`` holds this lock.
+        self._lru_lock = threading.Lock()
         self._relation_scores: Dict[Tuple[int, str], np.ndarray] = {}
 
     # ------------------------------------------------------------------ constructors
@@ -339,7 +343,9 @@ class LinkPredictionEngine:
             entity_chunk_size=self.entity_chunk_size,
         )
         invalidated = 0
-        for key, result in self._lru.items():
+        with self._lru_lock:
+            lru_items = list(self._lru.items())
+        for key, result in lru_items:
             if key[2] in touched:
                 invalidated += 1
             else:
@@ -386,7 +392,8 @@ class LinkPredictionEngine:
 
     def clear_caches(self) -> None:
         """Drop the LRU result cache and all precomputed relation matrices."""
-        self._lru.clear()
+        with self._lru_lock:
+            self._lru.clear()
         self._relation_scores.clear()
 
     def cache_info(self) -> Dict[str, object]:
@@ -408,8 +415,8 @@ class LinkPredictionEngine:
     def validate_query(self, query: LinkQuery) -> None:
         """Raise ``ValueError`` when the query's ids are out of range for the model.
 
-        The service facade calls this at submit time so a malformed query is rejected
-        before it can join (and poison) a micro-batch.
+        The HTTP front-end calls this per request so a malformed query is rejected
+        before it can join (and poison) a batch.
         """
         self._validate_relation(query.relation)
         if not 0 <= query.anchor < self.model.num_entities:
@@ -530,24 +537,26 @@ class LinkPredictionEngine:
         if self.cache_size == 0:
             return None
         key = self._lru_key(query)
-        result = self._lru.get(key)
-        if result is not None:
-            if result.graph_version != self.graph_version:
-                # The entry survived a delta swap, which proves its relation was
-                # untouched -- the result is still current, so re-stamp it.
-                result = dataclasses.replace(result, graph_version=self.graph_version)
-                self._lru[key] = result
-            self._lru.move_to_end(key)
+        with self._lru_lock:
+            result = self._lru.get(key)
+            if result is not None:
+                if result.graph_version != self.graph_version:
+                    # The entry survived a delta swap, which proves its relation was
+                    # untouched -- the result is still current, so re-stamp it.
+                    result = dataclasses.replace(result, graph_version=self.graph_version)
+                    self._lru[key] = result
+                self._lru.move_to_end(key)
         return result
 
     def _lru_put(self, query: LinkQuery, result: TopKResult) -> None:
         if self.cache_size == 0:
             return
         key = self._lru_key(query)
-        self._lru[key] = result
-        self._lru.move_to_end(key)
-        while len(self._lru) > self.cache_size:
-            self._lru.popitem(last=False)
+        with self._lru_lock:
+            self._lru[key] = result
+            self._lru.move_to_end(key)
+            while len(self._lru) > self.cache_size:
+                self._lru.popitem(last=False)
 
     def __repr__(self) -> str:
         return (

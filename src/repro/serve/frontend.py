@@ -2,7 +2,7 @@
 
 :class:`ServingFrontend` is the robustness layer between a network transport (the HTTP
 server in :mod:`repro.serve.http`, or anything else that can await a coroutine) and the
-micro-batching :class:`~repro.serve.service.PredictionService`:
+batched :class:`~repro.serve.engine.LinkPredictionEngine`:
 
 - **Admission control.**  Requests enter a bounded queue; once the queue is full every
   new request is *shed* immediately with :class:`OverloadedError` (the HTTP layer turns
@@ -10,9 +10,11 @@ micro-batching :class:`~repro.serve.service.PredictionService`:
 - **Deadlines.**  Every request carries a deadline.  A request that expires while
   queued is cancelled *before* scoring — it never occupies a batch slot — and the
   caller gets :class:`DeadlineExceededError` (HTTP ``504``).
-- **Time-based batching.**  A background loop collects queued requests into
-  micro-batches of at most ``max_batch_size``, waiting at most ``flush_interval_s`` for
-  stragglers, so trickle traffic is answered promptly and bursts are scored together.
+- **Continuous batching.**  A background loop scores as soon as the scorer is idle:
+  it waits for the first request, takes whatever else is already queued (at most
+  ``max_batch_size``) and hands the batch to one ``engine.predict`` call.  Requests
+  gather only while a batch is scoring, so trickle traffic never waits for stragglers
+  and bursts are still scored together.
 - **Graceful drain.**  :meth:`ServingFrontend.drain` stops admitting, answers every
   already-accepted request, then tears the loops down — the SIGTERM path.
 - **Hot-reload with rollback.**  An :class:`EngineReloader` polls the artifact registry
@@ -32,6 +34,8 @@ micro-batching :class:`~repro.serve.service.PredictionService`:
 from __future__ import annotations
 
 import asyncio
+import itertools
+import logging
 import threading
 import time
 from collections import deque
@@ -44,8 +48,10 @@ import numpy as np
 from repro.bench.reporting import summarize_latencies
 from repro.serve.artifacts import ModelArtifactRegistry, manifest_vocabularies
 from repro.serve.engine import LinkPredictionEngine, LinkQuery, TopKResult
-from repro.serve.service import LATENCY_WINDOW, PredictionService, ServiceConfig
+from repro.serve.service import LATENCY_WINDOW, ServiceStats
 from repro.stream.delta import GraphDelta, MutableGraphView
+
+logger = logging.getLogger(__name__)
 
 
 # ---------------------------------------------------------------------------- errors
@@ -82,10 +88,9 @@ class FrontendConfig:
     ``default_deadline_s`` (default 5.0, positive) applies to requests that name no
     deadline, and ``max_deadline_s`` (default 30.0, at least ``default_deadline_s``)
     caps client-supplied deadlines so one caller cannot park work forever.
-    ``max_batch_size`` (default 64, positive) bounds one scoring micro-batch, while
-    ``flush_interval_s`` (default 0.005, non-negative) is how long the batch loop waits
-    for stragglers before scoring a partial batch.  ``retry_after_s`` (default 1.0,
-    positive) is the back-off hint attached to shed responses.
+    ``max_batch_size`` (default 64, positive) bounds one scoring batch; the batch loop
+    never waits to fill it.  ``retry_after_s`` (default 1.0, positive) is the back-off
+    hint attached to shed responses.
     """
 
     max_queue_depth: int = 256
@@ -93,7 +98,6 @@ class FrontendConfig:
     default_deadline_s: float = 5.0
     max_deadline_s: float = 30.0
     max_batch_size: int = 64
-    flush_interval_s: float = 0.005
     retry_after_s: float = 1.0
 
     def __post_init__(self) -> None:
@@ -109,17 +113,8 @@ class FrontendConfig:
             raise ValueError("max_deadline_s must be at least default_deadline_s")
         if self.max_batch_size <= 0:
             raise ValueError("max_batch_size must be positive")
-        if self.flush_interval_s < 0:
-            raise ValueError("flush_interval_s must be non-negative")
         if self.retry_after_s <= 0:
             raise ValueError("retry_after_s must be positive")
-
-    def service_config(self) -> ServiceConfig:
-        """The matching :class:`~repro.serve.service.ServiceConfig` for the batcher."""
-        return ServiceConfig(
-            max_batch_size=self.max_batch_size,
-            flush_interval_s=self.flush_interval_s or None,
-        )
 
 
 @dataclass
@@ -314,7 +309,7 @@ class _PendingRequest:
 
 
 class ServingFrontend:
-    """Admission-controlled, deadline-aware async façade over the prediction service.
+    """Admission-controlled, deadline-aware async façade over the prediction engine.
 
     Lifecycle::
 
@@ -323,8 +318,8 @@ class ServingFrontend:
         result = await frontend.handle(LinkQuery(relation=0, head=1, k=5))
         await frontend.drain()          # answer everything accepted, then stop
 
-    The scoring executor is a single thread, so micro-batches are serialized and the
-    event loop stays free to accept, shed and time out requests while a batch scores.
+    The scoring executor is a single thread, so batches are serialized and the event
+    loop stays free to accept, shed and time out requests while a batch scores.
     """
 
     def __init__(
@@ -333,7 +328,6 @@ class ServingFrontend:
         model_name: str = "model",
         version: int = 0,
         config: Optional[FrontendConfig] = None,
-        service_config: Optional[ServiceConfig] = None,
         reloader: Optional[EngineReloader] = None,
         graph_view: Optional[MutableGraphView] = None,
     ) -> None:
@@ -345,7 +339,9 @@ class ServingFrontend:
         self.graph_view = graph_view
         self.deltas_accepted = 0
         self.deltas_rejected = 0
-        self._service = PredictionService(engine, service_config or self.config.service_config())
+        self._engine = engine
+        # Scoring-batch wall times; lives outside the engine, so it survives swaps.
+        self._stats = ServiceStats()
         self._queue: Optional["asyncio.Queue[_PendingRequest]"] = None
         self._loop: Optional[asyncio.AbstractEventLoop] = None
         self._batch_task: Optional["asyncio.Task[None]"] = None
@@ -363,6 +359,7 @@ class ServingFrontend:
         self.deadline_timeouts = 0
         self.cancelled_before_scoring = 0
         self.errors = 0
+        self.reload_poll_errors = 0
         self._latencies_ms: Deque[float] = deque(maxlen=LATENCY_WINDOW)
 
     # ------------------------------------------------------------------ lifecycle
@@ -462,16 +459,11 @@ class ServingFrontend:
                 if self._stop_batching.is_set():
                     return
                 continue
+            # Continuous batching: never wait for stragglers.  Whatever queued up while
+            # the previous batch was scoring joins this one.
             batch = [first]
-            flush_at = time.monotonic() + self.config.flush_interval_s
-            while len(batch) < self.config.max_batch_size:
-                remaining = flush_at - time.monotonic()
-                if remaining <= 0:
-                    break
-                try:
-                    batch.append(await asyncio.wait_for(self._queue.get(), timeout=remaining))
-                except asyncio.TimeoutError:
-                    break
+            while len(batch) < self.config.max_batch_size and not self._queue.empty():
+                batch.append(self._queue.get_nowait())
             await self._run_batch(batch)
 
     async def _run_batch(self, batch: List[_PendingRequest]) -> None:
@@ -486,10 +478,10 @@ class ServingFrontend:
                 live.append(request)
         if not live:
             return
-        service = self._service  # snapshot: a hot swap mid-batch must not mix engines
+        engine = self._engine  # snapshot: a hot swap mid-batch must not mix engines
         try:
             outcomes = await self._loop.run_in_executor(
-                self._score_executor, self._score_batch, service, [r.query for r in live]
+                self._score_executor, self._score_batch, engine, [r.query for r in live]
             )
         except Exception as error:  # noqa: BLE001 - fail the batch, not the server
             outcomes = [error] * len(live)
@@ -504,34 +496,28 @@ class ServingFrontend:
                 request.future.set_result(outcome)
             self._queue.task_done()
 
-    def _score_batch(self, service: PredictionService, queries: List[LinkQuery]) -> List[object]:
-        """Score one micro-batch on the executor thread; one outcome per query.
+    def _score_batch(self, engine: LinkPredictionEngine, queries: List[LinkQuery]) -> List[object]:
+        """Score one batch on the executor thread; one outcome per query.
 
-        Per-query failures (validation) and whole-batch failures (engine errors) are
-        returned as exception objects in-place, so one bad query cannot poison its
-        batchmates and a failed flush cannot re-break later batches.
+        Each query is validated on its own, so a malformed one fails alone and never
+        joins the ``engine.predict`` call of its batchmates.  A failure of that call is
+        returned as the outcome of every valid query in the batch.
         """
-        tickets: List[object] = []
+        outcomes: List[object] = []
         for query in queries:
             try:
-                tickets.append(service.submit(query))
+                engine.validate_query(query)
+                outcomes.append(query)
             except Exception as error:  # noqa: BLE001 - reported per request
-                tickets.append(error)
+                outcomes.append(error)
+        valid = [outcome for outcome in outcomes if isinstance(outcome, LinkQuery)]
+        if not valid:
+            return outcomes
         try:
-            service.flush()
+            results = iter(self._stats.timed_predict(engine, valid))
         except Exception as error:  # noqa: BLE001 - reported per request
-            # flush() restored the batch into the buffer; take our queries back out.
-            for ticket in tickets:
-                if isinstance(ticket, int):
-                    service.withdraw(ticket)
-            return [ticket if isinstance(ticket, Exception) else error for ticket in tickets]
-        outcomes: List[object] = []
-        for ticket in tickets:
-            if isinstance(ticket, Exception):
-                outcomes.append(ticket)
-            else:
-                outcomes.append(service.result(ticket))
-        return outcomes
+            results = itertools.repeat(error)
+        return [next(results) if isinstance(o, LinkQuery) else o for o in outcomes]
 
     # ------------------------------------------------------------------ hot reload
     async def reload_now(self) -> str:
@@ -547,16 +533,17 @@ class ServingFrontend:
             try:
                 await self.reload_now()
             except Exception:  # noqa: BLE001 - polling must survive transient registry errors
-                pass
+                self.reload_poll_errors += 1
+                logger.exception("registry poll for %r failed", self.model_name)
 
     def _on_swap(self, engine: LinkPredictionEngine, version: int) -> None:
         """Atomically put a validated engine into service (called by the reloader).
 
-        The new :class:`PredictionService` is fully constructed before the single
-        reference assignment, and the batch loop snapshots ``self._service`` per batch,
-        so in-flight batches finish on the engine they started with.
+        The engine is fully built and validated before the single reference
+        assignment, and the batch loop snapshots ``self._engine`` per batch, so
+        in-flight batches finish on the engine they started with.
         """
-        self._service = PredictionService(engine, self._service.config)
+        self._engine = engine
         self.version = version
 
     # ------------------------------------------------------------------ graph deltas
@@ -585,11 +572,9 @@ class ServingFrontend:
 
     def _apply_delta_sync(self, delta: GraphDelta) -> Dict[str, object]:
         new_graph = self.graph_view.apply(delta)  # raises before any published change
-        old_engine = self._service.engine
-        successor = old_engine.apply_delta(new_graph, delta)
+        successor = self._engine.apply_delta(new_graph, delta)
         # Same swap discipline as _on_swap: build fully, then one reference assignment.
-        # ServiceStats carries over so latency/throughput history survives the swap.
-        self._service = PredictionService(successor, self._service.config, stats=self._service.stats)
+        self._engine = successor
         self.deltas_accepted += 1
         summary = delta.describe()
         summary.update(
@@ -605,7 +590,7 @@ class ServingFrontend:
     @property
     def engine(self) -> LinkPredictionEngine:
         """The currently-serving engine (changes after a hot swap)."""
-        return self._service.engine
+        return self._engine
 
     def queue_depth(self) -> int:
         """Requests admitted but not yet handed to the scorer."""
@@ -645,19 +630,19 @@ class ServingFrontend:
                 "errors": self.errors,
             },
             "latency": summarize_latencies(list(self._latencies_ms)),
-            "service": self._service.stats.as_row(),
-            "engine": self._service.engine.stats.as_row(),
+            "service": self._stats.as_row(),
+            "engine": self._engine.stats.as_row(),
             "graph": {
                 "version": self.graph_view.version
                 if self.graph_view is not None
-                else self._service.engine.graph_version,
+                else self._engine.graph_version,
                 "attached": self.graph_view is not None,
                 "deltas_accepted": self.deltas_accepted,
                 "deltas_rejected": self.deltas_rejected,
             },
         }
         if self.reloader is not None:
-            payload["reload"] = self.reloader.stats()
+            payload["reload"] = {**self.reloader.stats(), "poll_errors": self.reload_poll_errors}
         return payload
 
     # ------------------------------------------------------------------ constructors

@@ -1,12 +1,10 @@
-"""Request/response facade over the inference engine with micro-batching and stats.
+"""Latency/throughput accounting of scoring batches.
 
-:class:`PredictionService` is the layer a network frontend would call into.  Queries are
-*submitted* into a pending buffer and scored together once the buffer reaches the
-configured micro-batch size (or on an explicit :meth:`PredictionService.flush`); one
-micro-batch becomes one vectorised matrix op inside the engine.  Every flush records the
-batch's wall-clock time, from which the service derives per-query latency and overall
-throughput, exported as :mod:`repro.bench.reporting` tables so benchmarks and dashboards
-share one formatting path.
+:class:`ServiceStats` records the wall time of every ``engine.predict`` batch, from which
+it derives per-query latency, mean batch size and throughput.  The HTTP front-end keeps
+one for the ``service`` row of ``/metrics``; synchronous callers print it through
+:func:`serving_tables`, so benchmarks and dashboards share one formatting path
+(:mod:`repro.bench.reporting`).
 """
 
 from __future__ import annotations
@@ -14,48 +12,10 @@ from __future__ import annotations
 import time
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Deque, Dict, List, Optional, Sequence
+from typing import Deque, Dict, List, Sequence, Tuple
 
 from repro.bench.reporting import TableReport, summarize_latencies
 from repro.serve.engine import LinkPredictionEngine, LinkQuery, TopKResult
-
-
-@dataclass
-class ServiceConfig:
-    """Tunables of the serving facade.
-
-    ``max_batch_size`` (default 64, positive) bounds how many buffered queries one
-    micro-batch may hold; the buffer auto-flushes when it fills.  ``default_k``
-    (default 10, positive) is the top-k used by :meth:`PredictionService.query` when
-    the caller passes none.  ``max_unclaimed_results`` (default 65536, at least
-    ``max_batch_size``) bounds the unredeemed-result map; older results are evicted
-    oldest-first beyond it, so callers that submit but never call ``result()`` cannot
-    grow the service's memory forever.  ``flush_interval_s`` (default ``None`` =
-    size-only flushing, else a positive number of seconds) is the maximum age a
-    partially-filled micro-batch may reach before :meth:`PredictionService.flush_if_due`
-    flushes it — the knob a time-based serving loop uses so trickle traffic below
-    ``max_batch_size`` never waits forever on a full batch.
-    """
-
-    max_batch_size: int = 64
-    default_k: int = 10
-    # Unredeemed results are evicted oldest-first beyond this bound, so callers that
-    # submit but never call result() cannot grow the service's memory forever.
-    max_unclaimed_results: int = 65536
-    flush_interval_s: Optional[float] = None
-
-    def __post_init__(self) -> None:
-        if self.max_batch_size <= 0:
-            raise ValueError("max_batch_size must be positive")
-        if self.default_k <= 0:
-            raise ValueError("default_k must be positive")
-        if self.max_unclaimed_results < self.max_batch_size:
-            raise ValueError(
-                "max_unclaimed_results must be at least max_batch_size, otherwise a "
-                "single flush could evict its own results"
-            )
-        if self.flush_interval_s is not None and self.flush_interval_s <= 0:
-            raise ValueError("flush_interval_s must be positive (or None to disable)")
 
 
 # How many of the most recent per-query latencies the stats keep for the percentile
@@ -78,9 +38,18 @@ class ServiceStats:
         self.total_queries += batch_size
         self.total_batches += 1
         self.total_seconds += seconds
-        # Every query in a micro-batch waits for the whole batch, so each one's
-        # observed latency is the batch wall time.
+        # Every query in a batch waits for the whole batch, so each one's observed
+        # latency is the batch wall time.
         self.latencies_ms.extend([seconds * 1000.0] * batch_size)
+
+    def timed_predict(
+        self, engine: LinkPredictionEngine, queries: Sequence[LinkQuery]
+    ) -> List[TopKResult]:
+        """``engine.predict(queries)``, recorded as one batch."""
+        started = time.perf_counter()
+        results = engine.predict(queries)
+        self.record_batch(len(queries), time.perf_counter() - started)
+        return results
 
     @property
     def throughput_qps(self) -> float:
@@ -106,182 +75,12 @@ class ServiceStats:
         return row
 
 
-class PredictionService:
-    """Micro-batching request/response layer over :class:`LinkPredictionEngine`.
-
-    Usage::
-
-        service = PredictionService(engine)
-        tickets = [service.submit(q) for q in queries]   # buffered
-        service.flush()                                  # one matrix op
-        results = [service.result(t) for t in tickets]
-
-    or, for synchronous callers, :meth:`query` / :meth:`query_many`.
-    """
-
-    def __init__(
-        self,
-        engine: LinkPredictionEngine,
-        config: Optional[ServiceConfig] = None,
-        stats: Optional[ServiceStats] = None,
-    ) -> None:
-        self.engine = engine
-        self.config = config or ServiceConfig()
-        # An existing ServiceStats may be passed in so a delta-swap successor keeps the
-        # cumulative latency/throughput history of the service it replaces.
-        self.stats = stats or ServiceStats()
-        self._pending: List[tuple[int, LinkQuery]] = []
-        self._results: Dict[int, TopKResult] = {}
-        self._next_ticket = 0
-        # Monotonic timestamp of the oldest query waiting in the buffer (None when
-        # empty); pending_age() / flush_if_due() derive batch age from it.
-        self._oldest_pending_at: Optional[float] = None
-
-    # ------------------------------------------------------------------ asynchronous-style API
-    def submit(self, query: LinkQuery) -> int:
-        """Buffer a query; returns a ticket redeemable after the next flush.
-
-        Malformed queries (ids out of range) are rejected here, before they can join a
-        micro-batch; the buffer flushes itself as soon as it holds ``max_batch_size``
-        queries.
-        """
-        self.engine.validate_query(query)
-        ticket = self._next_ticket
-        self._next_ticket += 1
-        if not self._pending:
-            self._oldest_pending_at = time.monotonic()
-        self._pending.append((ticket, query))
-        if len(self._pending) >= self.config.max_batch_size:
-            self.flush()
-        return ticket
-
-    def flush(self) -> int:
-        """Score every pending query as one micro-batch; returns how many were scored."""
-        if not self._pending:
-            return 0
-        pending, self._pending = self._pending, []
-        oldest_at, self._oldest_pending_at = self._oldest_pending_at, None
-        started = time.perf_counter()
-        try:
-            results = self.engine.predict([query for _, query in pending])
-        except Exception:
-            # Put the batch back so well-formed tickets are not silently lost (the
-            # restored buffer keeps its original age, so flush_if_due retries on time).
-            self._pending = pending + self._pending
-            self._oldest_pending_at = oldest_at
-            raise
-        elapsed = time.perf_counter() - started
-        self.stats.record_batch(len(pending), elapsed)
-        for (ticket, _), result in zip(pending, results):
-            self._results[ticket] = result
-        while len(self._results) > self.config.max_unclaimed_results:
-            self._results.pop(next(iter(self._results)))
-        return len(pending)
-
-    def withdraw(self, ticket: int) -> bool:
-        """Remove a still-buffered query; returns whether the ticket was pending.
-
-        A serving loop uses this after a failed :meth:`flush` (which restores the batch
-        into the buffer) to take its own queries back out, so one poisoned batch cannot
-        re-break every following flush.  Withdrawing the oldest query deliberately keeps
-        the recorded buffer age — overestimating age only flushes earlier, never later.
-        """
-        for index, (pending_ticket, _) in enumerate(self._pending):
-            if pending_ticket == ticket:
-                del self._pending[index]
-                if not self._pending:
-                    self._oldest_pending_at = None
-                return True
-        return False
-
-    def result(self, ticket: int) -> TopKResult:
-        """Redeem a ticket (raises ``KeyError`` if the query has not been flushed yet)."""
-        try:
-            return self._results.pop(ticket)
-        except KeyError:
-            raise KeyError(
-                f"ticket {ticket} has no result; call flush() first or check the ticket id"
-            ) from None
-
-    @property
-    def pending_count(self) -> int:
-        """How many submitted queries are waiting for the next flush."""
-        return len(self._pending)
-
-    def pending_age(self) -> float:
-        """Seconds the *oldest* buffered query has been waiting (0.0 when empty).
-
-        A serving loop polls this to decide when a partially-filled micro-batch has
-        waited long enough — trickle traffic below ``max_batch_size`` would otherwise
-        sit in the buffer forever without an explicit :meth:`flush`.
-        """
-        if self._oldest_pending_at is None:
-            return 0.0
-        return max(0.0, time.monotonic() - self._oldest_pending_at)
-
-    def flush_if_due(self) -> int:
-        """Flush iff the buffer's age reached ``config.flush_interval_s``.
-
-        Returns how many queries were scored (0 when nothing was due).  With
-        ``flush_interval_s=None`` this never flushes — size-based flushing only.
-        """
-        interval = self.config.flush_interval_s
-        if interval is None or not self._pending:
-            return 0
-        if self.pending_age() < interval:
-            return 0
-        return self.flush()
-
-    # ------------------------------------------------------------------ synchronous API
-    def query(
-        self,
-        relation: int,
-        head: Optional[int] = None,
-        tail: Optional[int] = None,
-        k: Optional[int] = None,
-    ) -> TopKResult:
-        """Answer one query immediately (flushes it together with any buffered ones)."""
-        ticket = self.submit(
-            LinkQuery(
-                relation=relation,
-                head=head,
-                tail=tail,
-                k=k if k is not None else self.config.default_k,
-            )
-        )
-        self.flush()
-        return self.result(ticket)
-
-    def query_many(self, queries: Sequence[LinkQuery]) -> List[TopKResult]:
-        """Answer a list of queries, scored in micro-batches of ``max_batch_size``.
-
-        Results are redeemed chunk by chunk, so a call larger than
-        ``max_unclaimed_results`` never has its own in-flight results evicted.
-        """
-        results: List[TopKResult] = []
-        queries = list(queries)
-        for start in range(0, len(queries), self.config.max_batch_size):
-            chunk = queries[start : start + self.config.max_batch_size]
-            tickets = [self.submit(query) for query in chunk]
-            self.flush()
-            results.extend(self.result(ticket) for ticket in tickets)
-        return results
-
-    # ------------------------------------------------------------------ reporting
-    def stats_table(self, title: str = "serving statistics") -> TableReport:
-        """Latency/throughput summary as a benchmark-style table."""
-        report = TableReport(name=title)
-        report.add_row(**self.stats.as_row())
-        return report
-
-    def cache_table(self, title: str = "engine caches") -> TableReport:
-        """Cache occupancy and hit counters of the underlying engine."""
-        report = TableReport(name=title)
-        report.add_row(**self.engine.cache_info())
-        return report
-
-    def __repr__(self) -> str:
-        return (
-            f"PredictionService(pending={self.pending_count}, "
-            f"served={self.stats.total_queries}, qps={self.stats.throughput_qps:.1f})"
-        )
+def serving_tables(
+    stats: ServiceStats, engine: LinkPredictionEngine
+) -> Tuple[TableReport, TableReport]:
+    """The ``serving statistics`` (latency/throughput) and ``engine caches`` tables."""
+    service = TableReport("serving statistics")
+    service.add_row(**stats.as_row())
+    caches = TableReport("engine caches")
+    caches.add_row(**engine.cache_info())
+    return service, caches

@@ -59,12 +59,10 @@ def _audited_dataclasses():
     from repro.search.variants import DifferentiableSearchState
     from repro.runtime.shm import BundleHandle, SegmentSpec
     from repro.serve.frontend import FrontendConfig, ReloadConfig
-    from repro.serve.service import ServiceConfig
     from repro.stream.delta import GraphDelta
 
     return [
         DatasetCacheMeta,
-        ServiceConfig,
         FrontendConfig,
         ReloadConfig,
         GraphDelta,

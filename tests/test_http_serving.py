@@ -42,21 +42,27 @@ REPO_ROOT = Path(__file__).resolve().parents[1]
 
 # ---------------------------------------------------------------------------- helpers
 class SlowEngine:
-    """Engine wrapper that delays (or gates) scoring and records what it scored."""
+    """Engine wrapper that delays (or gates) scoring and records every ``predict`` call."""
 
     def __init__(self, inner, delay_s: float = 0.0, gate: threading.Event = None) -> None:
         self.inner = inner
         self.delay_s = delay_s
         self.gate = gate
-        self.scored = []
+        self.calls = []
         self._lock = threading.Lock()
+
+    @property
+    def scored(self):
+        """Every query scored so far, in call order."""
+        with self._lock:
+            return [query for call in self.calls for query in call]
 
     def validate_query(self, query) -> None:
         self.inner.validate_query(query)
 
     def predict(self, queries):
         with self._lock:
-            self.scored.extend(queries)
+            self.calls.append(list(queries))
         if self.gate is not None:
             assert self.gate.wait(timeout=30.0), "test gate was never released"
         if self.delay_s:
@@ -212,7 +218,7 @@ class TestGraphDelta:
             assert payload["relations_touched"] == 1
 
             # The swapped-in engine dropped only the touched relation's cache entry.
-            live = frontend._service.engine
+            live = frontend.engine
             assert live.graph_version == 1
             assert [key[2] for key in live._lru] == [1]
             assert live.stats.deltas_applied == 1
@@ -239,7 +245,7 @@ class TestGraphDelta:
         with serving(engine, graph_view=view) as (address, frontend):
             _predict(address, relation=0, head=1)
             _predict(address, relation=1, head=2)
-            live = frontend._service.engine
+            live = frontend.engine
             cached_before = live.cache_info()["lru_entries"]
             assert cached_before == 2
 
@@ -268,7 +274,7 @@ class TestGraphDelta:
 
             # The engine is provably still the old one: same object, old version,
             # caches untouched, and the view never advanced.
-            assert frontend._service.engine is live
+            assert frontend.engine is live
             assert live.graph_version == 0
             assert view.version == 0
             assert live.cache_info()["lru_entries"] == cached_before
@@ -392,14 +398,77 @@ class TestDeadlines:
             assert all(query.anchor != 2 for query in slow.scored)
             assert frontend.deadline_timeouts == 1
 
-    def test_trickle_request_flushes_on_time_not_on_size(self, engine):
-        # max_batch_size far above the traffic: only the time-based flush can answer
-        config = FrontendConfig(max_batch_size=64, flush_interval_s=0.01)
-        with serving(engine, config=config) as (address, _):
-            started = time.monotonic()
-            status, _, _ = _predict(address, relation=0, head=1)
-            assert status == 200
-            assert time.monotonic() - started < 10.0
+
+# ---------------------------------------------------------------------------- batching
+def _fire(address, outcomes, key, **query):
+    """Send one predict on its own thread; ``outcomes[key]`` receives its reply."""
+
+    def send():
+        outcomes[key] = _predict(address, timeout=30.0, **query)
+
+    thread = threading.Thread(target=send)
+    thread.start()
+    return thread
+
+
+class TestContinuousBatching:
+    def test_backlog_batches_and_bad_query_fails_alone(self, engine):
+        gate = threading.Event()
+        gated = SlowEngine(engine, gate=gate)
+        config = FrontendConfig(max_batch_size=64, default_deadline_s=25.0, max_deadline_s=30.0)
+        outcomes = {}
+        with serving(gated, config=config) as (address, frontend):
+            threads = [_fire(address, outcomes, "a", relation=0, head=1)]
+            try:
+                # A is scored alone as soon as it arrives: the scorer was idle.
+                _wait_until(lambda: len(gated.calls) == 1, message="batch A to reach scoring")
+                threads.append(_fire(address, outcomes, "b", relation=1, head=2))
+                threads.append(_fire(address, outcomes, "c", relation=10_000, head=2))
+                _wait_until(lambda: frontend.queue_depth() == 2, message="B and C to queue behind A")
+            finally:
+                gate.set()
+            for thread in threads:
+                thread.join(timeout=30.0)
+        assert outcomes["a"][0] == 200
+        assert outcomes["b"][0] == 200
+        assert outcomes["c"][0] == 400 and "relation id" in outcomes["c"][1]["error"]
+        # B and C gathered while A scored; C was rejected on its own and B was scored
+        # in one predict call without it.
+        assert [[(q.relation, q.anchor) for q in call] for call in gated.calls] == [[(0, 1)], [(1, 2)]]
+
+    def test_batch_never_exceeds_max_batch_size(self, engine):
+        gate = threading.Event()
+        gated = SlowEngine(engine, gate=gate)
+        config = FrontendConfig(max_batch_size=2, default_deadline_s=25.0, max_deadline_s=30.0)
+        outcomes = {}
+        with serving(gated, config=config) as (address, frontend):
+            threads = [_fire(address, outcomes, "first", relation=0, head=0)]
+            try:
+                _wait_until(lambda: len(gated.calls) == 1, message="the first batch to reach scoring")
+                threads += [_fire(address, outcomes, head, relation=0, head=head) for head in (1, 2, 3)]
+                _wait_until(lambda: frontend.queue_depth() == 3, message="three requests to queue")
+            finally:
+                gate.set()
+            for thread in threads:
+                thread.join(timeout=30.0)
+        assert {status for status, _, _ in outcomes.values()} == {200}
+        assert [len(call) for call in gated.calls] == [1, 2, 1]
+
+    def test_failed_predict_fails_only_its_own_batch(self, engine):
+        class FailsFirstCall(SlowEngine):
+            def predict(self, queries):
+                results = super().predict(queries)
+                if len(self.calls) == 1:
+                    raise RuntimeError("transient scoring failure")
+                return results
+
+        with serving(FailsFirstCall(engine)) as (address, frontend):
+            status, payload, _ = _predict(address, relation=0, head=1)
+            assert status == 500 and "transient scoring failure" in payload["error"]
+            # Nothing of the failed batch lingers: the next request scores alone.
+            assert _predict(address, relation=0, head=1)[0] == 200
+            assert [len(call) for call in frontend.engine.calls] == [1, 1]
+            assert frontend.errors == 1
 
 
 # ---------------------------------------------------------------------------- hot reload
@@ -490,6 +559,37 @@ class TestHotReload:
             registry.save("m", _fresh_model(tiny_graph, seed=9))
             _wait_until(lambda: frontend.version == 2, message="background reload to swap")
             assert _predict(address, relation=0, head=1)[1]["model"]["version"] == 2
+
+    def test_failed_poll_is_counted_logged_and_survived(
+        self, tiny_graph, trained_tiny_model, tmp_path, caplog, monkeypatch
+    ):
+        registry = ModelArtifactRegistry(tmp_path / "registry")
+        registry.save("m", trained_tiny_model)
+        frontend = ServingFrontend.from_registry(
+            registry, "m", graph=tiny_graph,
+            reload_config=ReloadConfig(poll_interval_s=0.05, smoke_queries=2),
+        )
+        healthy_latest = registry.latest_version
+        calls = {"n": 0}
+
+        def latest_version_failing_once(name):
+            calls["n"] += 1
+            if calls["n"] == 1:
+                raise OSError("registry volume unavailable")
+            return healthy_latest(name)
+
+        monkeypatch.setattr(registry, "latest_version", latest_version_failing_once)
+        with caplog.at_level("ERROR", logger="repro.serve.frontend"):
+            with BackgroundHttpServer(frontend) as server:
+                address = server.address
+                _wait_until(lambda: frontend.reload_poll_errors == 1, message="the failed poll")
+                registry.save("m", _fresh_model(tiny_graph, seed=10))
+                _wait_until(lambda: frontend.version == 2, message="a later poll to swap")
+                metrics = _request(address, "GET", "/metrics")[1]
+        assert metrics["reload"]["poll_errors"] == 1
+        assert metrics["reload"]["swaps"] == 1
+        logged = [record.exc_info[1] for record in caplog.records if record.exc_info]
+        assert [str(error) for error in logged] == ["registry volume unavailable"]
 
     def test_pinned_version_never_reloads(self, tiny_graph, trained_tiny_model, tmp_path):
         registry = ModelArtifactRegistry(tmp_path / "registry")

@@ -1,6 +1,7 @@
-"""Tests for the link-prediction engine and the micro-batching service facade."""
+"""Tests for the link-prediction engine and its batch statistics."""
 
-import time
+import threading
+from collections import OrderedDict
 
 import numpy as np
 import pytest
@@ -11,9 +12,10 @@ from repro.serve import (
     LinkPredictionEngine,
     LinkQuery,
     ModelArtifactRegistry,
-    PredictionService,
-    ServiceConfig,
+    ServiceStats,
+    serving_tables,
 )
+from repro.stream import GraphDelta, MutableGraphView
 
 
 def _raw_scores(model, query):
@@ -131,6 +133,46 @@ class TestLinkPredictionEngine:
         with pytest.raises(ValueError, match="entity id"):
             engine.top_k(relation=0, head=10_000)
 
+    def test_invalid_k_rejected_not_defaulted(self, trained_tiny_model):
+        engine = LinkPredictionEngine(trained_tiny_model, filtered=False)
+        with pytest.raises(ValueError, match="k must be positive"):
+            engine.top_k(relation=0, head=0, k=0)
+
+    def test_delta_lru_copy_while_scoring_thread_runs(self, tiny_graph, trained_tiny_model):
+        """``apply_delta`` copies the LRU on one thread while another thread scores."""
+        engine = LinkPredictionEngine.from_graph(trained_tiny_model, tiny_graph)
+        for head in (1, 2):
+            engine.top_k(relation=0, head=head, k=3)
+        scored = threading.Event()
+        errors = []
+
+        def score():
+            try:
+                engine.top_k(relation=1, head=3, k=3)  # a miss: inserts into the LRU
+            except Exception as error:  # noqa: BLE001 - surfaced by the assert below
+                errors.append(error)
+            scored.set()
+
+        class InterleavingLRU(OrderedDict):
+            """Runs the scoring thread in the middle of the first ``items()`` iteration."""
+
+            def items(self):
+                for index, pair in enumerate(super().items()):
+                    yield pair
+                    if index == 0:
+                        threading.Thread(target=score).start()
+                        # Without the engine's lock the scorer finishes at once and
+                        # mutates the dict under the iteration; with it, it waits.
+                        scored.wait(timeout=1.0)
+
+        engine._lru = InterleavingLRU(engine._lru)
+        delta = GraphDelta.from_arrays()
+        successor = engine.apply_delta(MutableGraphView(tiny_graph).apply(delta), delta)
+        assert scored.wait(timeout=10.0)
+        assert errors == []
+        assert successor.cache_info()["lru_entries"] == 2
+        assert engine.cache_info()["lru_entries"] == 3
+
     def test_labels_from_vocab(self, tiny_graph, trained_tiny_model):
         vocab = Vocabulary.from_ids(tiny_graph.num_entities, "entity")
         relation_vocab = Vocabulary.from_ids(tiny_graph.num_relations, "rel")
@@ -195,180 +237,29 @@ class TestTopKDeterminism:
         np.testing.assert_array_equal(scores, [2.0, 1.0])
 
 
-class TestPredictionService:
-    def test_submit_flush_result_cycle(self, trained_tiny_model):
-        service = PredictionService(LinkPredictionEngine(trained_tiny_model, filtered=False))
-        tickets = [service.submit(LinkQuery(relation=0, head=h, k=3)) for h in range(5)]
-        assert service.pending_count == 5
-        assert service.flush() == 5
-        results = [service.result(t) for t in tickets]
-        assert all(len(r) == 3 for r in results)
-        assert service.stats.total_queries == 5
-        assert service.stats.total_batches == 1
-
-    def test_auto_flush_at_max_batch_size(self, trained_tiny_model):
-        config = ServiceConfig(max_batch_size=4)
-        service = PredictionService(LinkPredictionEngine(trained_tiny_model, filtered=False), config)
-        tickets = [service.submit(LinkQuery(relation=0, head=h % 8, k=2)) for h in range(10)]
-        # 10 submits with batch size 4 -> two automatic flushes, 2 still pending.
-        assert service.stats.total_batches == 2
-        assert service.pending_count == 2
-        service.flush()
-        assert all(len(service.result(t)) == 2 for t in tickets)
-
-    def test_unflushed_ticket_raises(self, trained_tiny_model):
-        service = PredictionService(LinkPredictionEngine(trained_tiny_model, filtered=False))
-        ticket = service.submit(LinkQuery(relation=0, head=0, k=2))
-        with pytest.raises(KeyError, match="no result"):
-            service.result(ticket)
-
-    def test_query_and_query_many(self, trained_tiny_model):
-        service = PredictionService(LinkPredictionEngine(trained_tiny_model, filtered=False))
-        single = service.query(relation=1, head=2, k=4)
-        assert len(single) == 4
-        many = service.query_many([LinkQuery(relation=1, head=h, k=4) for h in range(6)])
-        assert len(many) == 6
-        np.testing.assert_array_equal(many[2].entities, service.query(relation=1, head=2, k=4).entities)
+class TestServiceStats:
+    def test_timed_predict_records_one_batch(self, trained_tiny_model):
+        engine = LinkPredictionEngine(trained_tiny_model, filtered=False)
+        stats = ServiceStats()
+        queries = [LinkQuery(relation=0, head=h, k=3) for h in range(5)]
+        results = stats.timed_predict(engine, queries)
+        assert [len(r) for r in results] == [3] * 5
+        for query, result in zip(queries, results):
+            assert result.query is query
+        assert stats.total_queries == 5
+        assert stats.total_batches == 1
+        assert stats.mean_batch_size == 5.0
 
     def test_stats_and_cache_tables(self, trained_tiny_model):
-        service = PredictionService(LinkPredictionEngine(trained_tiny_model, filtered=False))
-        service.query_many([LinkQuery(relation=0, head=h % 5, k=3) for h in range(20)])
-        row = service.stats_table().rows[0]
+        engine = LinkPredictionEngine(trained_tiny_model, filtered=False)
+        stats = ServiceStats()
+        stats.timed_predict(engine, [LinkQuery(relation=0, head=h % 5, k=3) for h in range(20)])
+        service_table, cache_table = serving_tables(stats, engine)
+        row = service_table.rows[0]
         assert row["queries"] == 20
         assert row["qps"] > 0
         assert row["p95_ms"] >= row["p50_ms"] >= 0
-        cache_row = service.cache_table().rows[0]
-        assert cache_row["lru_hits"] + cache_row["lru_entries"] > 0
-        assert "serving statistics" in service.stats_table().render()
-
-    def test_invalid_k_rejected_not_defaulted(self, trained_tiny_model):
-        service = PredictionService(LinkPredictionEngine(trained_tiny_model, filtered=False))
-        with pytest.raises(ValueError, match="k must be positive"):
-            service.query(relation=0, head=0, k=0)
-
-    def test_unclaimed_results_are_bounded(self, trained_tiny_model):
-        config = ServiceConfig(max_batch_size=2, max_unclaimed_results=4)
-        service = PredictionService(LinkPredictionEngine(trained_tiny_model, filtered=False), config)
-        tickets = [service.submit(LinkQuery(relation=0, head=h, k=2)) for h in range(6)]
-        service.flush()
-        # The two oldest results were evicted; the four newest remain redeemable.
-        for ticket in tickets[:2]:
-            with pytest.raises(KeyError):
-                service.result(ticket)
-        assert all(len(service.result(t)) == 2 for t in tickets[2:])
-
-    def test_query_many_larger_than_unclaimed_bound(self, trained_tiny_model):
-        config = ServiceConfig(max_batch_size=4, max_unclaimed_results=4)
-        service = PredictionService(LinkPredictionEngine(trained_tiny_model, filtered=False), config)
-        results = service.query_many([LinkQuery(relation=0, head=h % 8, k=2) for h in range(11)])
-        assert len(results) == 11
-        assert all(len(r) == 2 for r in results)
-
-    def test_malformed_submit_rejected_without_poisoning_batch(self, trained_tiny_model):
-        service = PredictionService(LinkPredictionEngine(trained_tiny_model, filtered=False))
-        good = service.submit(LinkQuery(relation=0, head=0, k=2))
-        with pytest.raises(ValueError, match="relation id"):
-            service.submit(LinkQuery(relation=9999, head=0, k=2))
-        service.flush()
-        assert len(service.result(good)) == 2
-
-    def test_config_validation(self):
-        with pytest.raises(ValueError):
-            ServiceConfig(max_batch_size=0)
-        with pytest.raises(ValueError):
-            ServiceConfig(default_k=0)
-        with pytest.raises(ValueError):
-            ServiceConfig(max_unclaimed_results=0)
-        with pytest.raises(ValueError, match="flush_interval_s"):
-            ServiceConfig(flush_interval_s=0.0)
-        with pytest.raises(ValueError, match="flush_interval_s"):
-            ServiceConfig(flush_interval_s=-1.0)
-
-    def test_unclaimed_eviction_is_oldest_first(self, trained_tiny_model):
-        """Eviction must drop tickets in submission order, not arbitrarily."""
-        config = ServiceConfig(max_batch_size=2, max_unclaimed_results=2)
-        service = PredictionService(LinkPredictionEngine(trained_tiny_model, filtered=False), config)
-        tickets = []
-        for batch in range(3):  # three auto-flushed batches of 2 -> 6 results, bound 2
-            tickets += [service.submit(LinkQuery(relation=0, head=2 * batch + i, k=2)) for i in range(2)]
-        for evicted in tickets[:4]:
-            with pytest.raises(KeyError, match="no result"):
-                service.result(evicted)
-        for survivor in tickets[4:]:
-            assert len(service.result(survivor)) == 2
-
-
-class TestTimeBasedFlushing:
-    def test_pending_age_tracks_oldest_query(self, trained_tiny_model):
-        service = PredictionService(LinkPredictionEngine(trained_tiny_model, filtered=False))
-        assert service.pending_age() == 0.0
-        service.submit(LinkQuery(relation=0, head=0, k=2))
-        time.sleep(0.03)
-        first_age = service.pending_age()
-        assert first_age >= 0.03
-        # a second submit does not reset the age: it is the *oldest* query's age
-        service.submit(LinkQuery(relation=0, head=1, k=2))
-        assert service.pending_age() >= first_age
-        service.flush()
-        assert service.pending_age() == 0.0
-
-    def test_flush_if_due_only_after_interval(self, trained_tiny_model):
-        config = ServiceConfig(flush_interval_s=0.05)
-        service = PredictionService(LinkPredictionEngine(trained_tiny_model, filtered=False), config)
-        ticket = service.submit(LinkQuery(relation=0, head=0, k=2))
-        assert service.flush_if_due() == 0  # too young
-        assert service.pending_count == 1
-        time.sleep(0.06)
-        assert service.flush_if_due() == 1
-        assert len(service.result(ticket)) == 2
-        assert service.flush_if_due() == 0  # empty buffer: nothing due
-
-    def test_flush_if_due_disabled_without_interval(self, trained_tiny_model):
-        service = PredictionService(LinkPredictionEngine(trained_tiny_model, filtered=False))
-        service.submit(LinkQuery(relation=0, head=0, k=2))
-        time.sleep(0.02)
-        assert service.flush_if_due() == 0  # flush_interval_s=None -> size-based only
-        assert service.pending_count == 1
-
-    def test_withdraw_removes_pending_query(self, trained_tiny_model):
-        service = PredictionService(LinkPredictionEngine(trained_tiny_model, filtered=False))
-        first = service.submit(LinkQuery(relation=0, head=0, k=2))
-        second = service.submit(LinkQuery(relation=0, head=1, k=2))
-        assert service.withdraw(first) is True
-        assert service.withdraw(first) is False  # already gone
-        assert service.pending_count == 1
-        service.flush()
-        assert len(service.result(second)) == 2
-        with pytest.raises(KeyError):
-            service.result(first)
-        # withdrawing the last pending query resets the buffer age
-        third = service.submit(LinkQuery(relation=0, head=2, k=2))
-        service.withdraw(third)
-        assert service.pending_age() == 0.0
-
-    def test_failed_flush_restores_batch_and_age(self, trained_tiny_model):
-        class ExplodingEngine:
-            def __init__(self, inner):
-                self.inner = inner
-                self.explode = True
-
-            def validate_query(self, query):
-                self.inner.validate_query(query)
-
-            def predict(self, queries):
-                if self.explode:
-                    raise RuntimeError("transient scoring failure")
-                return self.inner.predict(queries)
-
-        engine = ExplodingEngine(LinkPredictionEngine(trained_tiny_model, filtered=False))
-        service = PredictionService(engine, ServiceConfig(flush_interval_s=0.01))
-        ticket = service.submit(LinkQuery(relation=0, head=0, k=2))
-        time.sleep(0.02)
-        with pytest.raises(RuntimeError, match="transient"):
-            service.flush()
-        # the batch is back in the buffer with its original age: still due
-        assert service.pending_count == 1
-        assert service.pending_age() >= 0.01
-        engine.explode = False
-        assert service.flush_if_due() == 1
-        assert len(service.result(ticket)) == 2
+        cache_row = cache_table.rows[0]
+        assert cache_row["lru_entries"] == 5  # five distinct queries
+        assert "serving statistics" in service_table.render()
+        assert "engine caches" in cache_table.render()

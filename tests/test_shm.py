@@ -12,6 +12,7 @@ import os
 import signal
 import subprocess
 import sys
+import threading
 
 import numpy as np
 import pytest
@@ -316,6 +317,15 @@ def _worker_blas_threads(shared, payload):
     return blas.blas_threads()
 
 
+def _native_threads_after_one_thread_cap(results) -> None:
+    """Child process: cap BLAS to one thread, use it, report non-Python OS threads."""
+    capped = blas.cap_worker_blas_threads(blas.available_cores())
+    matrix = np.arange(40000, dtype=np.float64).reshape(200, 200)
+    matrix @ matrix
+    native = len(os.listdir("/proc/self/task")) - threading.active_count()
+    results.put((capped, native))
+
+
 class TestBlasThreadCap:
     def test_set_and_get_round_trip(self):
         original = blas.blas_threads()
@@ -340,6 +350,25 @@ class TestBlasThreadCap:
             assert threads == [None] * 8
         else:
             assert set(threads) == {max(1, blas.available_cores() // 2)}
+
+    def test_one_thread_cap_leaves_no_busy_waiting_helpers(self):
+        """A worker capped to one BLAS thread keeps no OpenBLAS helper thread.
+
+        Setting the thread count in a forked child starts OpenBLAS's helpers, and an
+        idle helper busy-waits before it sleeps; a one-thread worker never uses them.
+        """
+        context = multiprocessing.get_context("fork")
+        results = context.Queue()
+        child = context.Process(target=_native_threads_after_one_thread_cap, args=(results,))
+        child.start()
+        capped, native = results.get(timeout=30)
+        child.join(timeout=30)
+        assert child.exitcode == 0
+        if blas.blas_threads() is None:  # no OpenBLAS loaded: the cap is a reported no-op
+            assert not capped
+        else:
+            assert capped
+            assert native == 0
 
 
 # ---------------------------------------------------------------------------- graph payloads
